@@ -18,6 +18,13 @@ harness asserts identical total spend and the wall-clock speedup target
 (≥ 4× at 8 jobs), plus bit-identical verdicts between an
 InlineBackend-driven service and the session API.
 
+A second, **mixed-kinds** arm serves group, multiple and intersectional
+audits together (no two of them share a query), serially and
+overlapped. Multiple and intersectional jobs are flow trees on the
+shared engine, so their batches overlap too: the harness asserts the
+overlapped makespan is at most ``MIXED_MAKESPAN_CEILING`` of the
+serial one at identical verdicts and task totals.
+
 Results land in ``BENCH_service.json``; CI runs this script on every
 push. Full run::
 
@@ -27,14 +34,21 @@ push. Full run::
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import time
 
 import numpy as np
 
-from repro.audit import AuditSession, GroupAuditSpec
+from repro.audit import (
+    AuditSession,
+    GroupAuditSpec,
+    IntersectionalAuditSpec,
+    MultipleAuditSpec,
+)
 from repro.crowd.backends import LatencyModelBackend
 from repro.crowd.oracle import GroundTruthOracle
+from repro.data import Schema, intersectional_dataset
 from repro.data.groups import group
 from repro.data.synthetic import single_attribute_dataset
 from repro.service import AuditService
@@ -42,6 +56,17 @@ from repro.service import AuditService
 DEFAULT_JOBS = 8
 DEFAULT_TAU = 100
 SPEEDUP_TARGET = 4.0
+#: Overlapped over serial virtual makespan the mixed-kinds arm must beat.
+MIXED_MAKESPAN_CEILING = 0.6
+#: Service seed of the mixed arm (its multiple/intersectional jobs sample).
+MIXED_SEED = 3
+
+#: Mixed-arm attributes and each value's relative size.
+MIXED_VALUES = {
+    "gender": {"male": 1.0, "female": 0.55},
+    "race": {"white": 1.0, "black": 0.25, "asian": 0.12, "other": 0.06},
+    "age": {"young": 1.0, "old": 0.35},
+}
 
 
 def build_dataset(n_jobs: int, rng: np.random.Generator):
@@ -53,8 +78,73 @@ def build_specs(values: list[str], tau: int) -> list[GroupAuditSpec]:
     return [GroupAuditSpec(predicate=group(race=value), tau=tau) for value in values]
 
 
-def run_arm(dataset, specs, *, max_active_jobs: int) -> dict:
-    """One benchmark arm: all specs through a latency-backend service."""
+def build_mixed(tau: int, rng: np.random.Generator):
+    """The mixed-kinds arm: a gender x race x age dataset and six audits
+    of three kinds that share no set query (distinct predicates, no
+    super-group member in common)."""
+    schema = Schema.from_dict(
+        {name: list(sizes) for name, sizes in MIXED_VALUES.items()}
+    )
+    joint_counts = {}
+    for values in itertools.product(*(MIXED_VALUES[name] for name in MIXED_VALUES)):
+        weight = 1.0
+        for name, value in zip(MIXED_VALUES, values):
+            weight *= MIXED_VALUES[name][value]
+        joint_counts[values] = int(round(1200 * weight))
+    dataset = intersectional_dataset(schema, joint_counts, rng=rng)
+
+    def values(name):
+        return list(MIXED_VALUES[name])
+
+    specs = [
+        GroupAuditSpec(predicate=group(gender="female", age="old"), tau=tau),
+        GroupAuditSpec(predicate=group(gender="male", age="old"), tau=tau),
+        MultipleAuditSpec(groups=tuple(group(race=v) for v in values("race")), tau=tau),
+        MultipleAuditSpec(
+            groups=tuple(group(gender=v) for v in values("gender")), tau=tau
+        ),
+        IntersectionalAuditSpec(
+            schema=Schema.from_dict({"gender": values("gender"), "race": values("race")}),
+            tau=tau,
+        ),
+        IntersectionalAuditSpec(
+            schema=Schema.from_dict({"race": values("race"), "age": values("age")}),
+            tau=tau,
+        ),
+    ]
+    return dataset, specs
+
+
+def verdict_summary(result) -> dict:
+    """A readable verdict of any audit kind for the JSON rows."""
+    if hasattr(result, "mups"):
+        return {"mups": [pattern.describe() for pattern in result.mups]}
+    if hasattr(result, "uncovered_groups"):
+        return {"uncovered": [g.describe() for g in result.uncovered_groups]}
+    return {"covered": result.covered, "count": result.count}
+
+
+def full_verdict(report):
+    """A report's result in wire form without its cost fields — what
+    two arms must agree on exactly."""
+
+    def scrub(payload):
+        if isinstance(payload, dict):
+            return {
+                key: scrub(value)
+                for key, value in payload.items()
+                if key not in ("tasks", "engine_stats")
+            }
+        if isinstance(payload, list):
+            return [scrub(item) for item in payload]
+        return payload
+
+    return scrub(report.to_dict()["entries"][0]["result"])
+
+
+def run_arm(dataset, specs, *, max_active_jobs: int, seed=None):
+    """One benchmark arm: all specs through a latency-backend service.
+    Returns the JSON row and the job reports."""
     oracle = GroundTruthOracle(dataset)
     service = AuditService(
         oracle,
@@ -62,6 +152,7 @@ def run_arm(dataset, specs, *, max_active_jobs: int) -> dict:
             proxy, rng=np.random.default_rng(1234)
         ),
         max_active_jobs=max_active_jobs,
+        seed=seed,
     )
     started = time.perf_counter()
     with service:
@@ -81,11 +172,9 @@ def run_arm(dataset, specs, *, max_active_jobs: int) -> dict:
         "virtual_makespan_seconds": makespan,
         "jobs_per_virtual_hour": len(specs) / makespan * 3600.0,
         "real_seconds": real_seconds,
-        "verdicts": [
-            {"covered": report.result.covered, "count": report.result.count}
-            for report in reports
-        ],
-    }
+        "job_tasks": [report.tasks.total for report in reports],
+        "verdicts": [verdict_summary(report.result) for report in reports],
+    }, reports
 
 
 def check_inline_equivalence(dataset, specs) -> dict:
@@ -116,6 +205,45 @@ def check_inline_equivalence(dataset, specs) -> dict:
     }
 
 
+def run_mixed_arm(tau: int) -> dict:
+    """Group, multiple and intersectional jobs, serial then overlapped."""
+    dataset, specs = build_mixed(tau, np.random.default_rng(7))
+    serial, serial_reports = run_arm(
+        dataset, specs, max_active_jobs=1, seed=MIXED_SEED
+    )
+    overlapped, overlapped_reports = run_arm(
+        dataset, specs, max_active_jobs=len(specs), seed=MIXED_SEED
+    )
+    assert [full_verdict(r) for r in serial_reports] == [
+        full_verdict(r) for r in overlapped_reports
+    ], "mixed overlap changed a verdict"
+    assert serial["job_tasks"] == overlapped["job_tasks"], (
+        f"mixed overlap changed a job's bill: {serial['job_tasks']} vs "
+        f"{overlapped['job_tasks']}"
+    )
+    assert serial["tasks"] == overlapped["tasks"] == sum(serial["job_tasks"])
+    ratio = (
+        overlapped["virtual_makespan_seconds"] / serial["virtual_makespan_seconds"]
+    )
+    print(f"  mixed kinds ({len(specs)} group/multiple/intersectional jobs, "
+          f"N={len(dataset)}): serial {serial['virtual_makespan_seconds']:,.0f} "
+          f"vs overlapped {overlapped['virtual_makespan_seconds']:,.0f} virtual s "
+          f"= {ratio:.2f}x (ceiling {MIXED_MAKESPAN_CEILING}x) at "
+          f"{serial['tasks']} tasks each")
+    assert ratio <= MIXED_MAKESPAN_CEILING, (
+        f"mixed overlapped makespan is {ratio:.2f}x the serial one, above "
+        f"the {MIXED_MAKESPAN_CEILING}x ceiling"
+    )
+    return {
+        "dataset_size": len(dataset),
+        "kinds": [type(spec).__name__ for spec in specs],
+        "serial": serial,
+        "overlapped": overlapped,
+        "speedup": 1.0 / ratio,
+        "makespan_ceiling": MIXED_MAKESPAN_CEILING,
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--jobs", type=int, default=DEFAULT_JOBS)
@@ -134,8 +262,8 @@ def main() -> None:
     print(f"  inline equivalence ok: {inline['tasks']} tasks, "
           f"{inline['oracle_round_trips']} round-trips, bit-identical to sessions")
 
-    serial = run_arm(dataset, specs, max_active_jobs=1)
-    overlapped = run_arm(dataset, specs, max_active_jobs=args.jobs)
+    serial, _ = run_arm(dataset, specs, max_active_jobs=1)
+    overlapped, _ = run_arm(dataset, specs, max_active_jobs=args.jobs)
 
     assert serial["verdicts"] == overlapped["verdicts"], (
         "overlap changed a verdict"
@@ -160,6 +288,8 @@ def main() -> None:
         f"overlap speedup {speedup:.2f}x is below the {SPEEDUP_TARGET}x target"
     )
 
+    mixed = run_mixed_arm(args.tau)
+
     payload = {
         "benchmark": "audit-service latency overlap",
         "n_jobs": args.jobs,
@@ -170,6 +300,7 @@ def main() -> None:
         "overlapped": overlapped,
         "speedup": speedup,
         "speedup_target": SPEEDUP_TARGET,
+        "mixed": mixed,
     }
     with open(args.out, "w") as sink:
         json.dump(payload, sink, indent=2)

@@ -26,8 +26,16 @@ from repro.audit.specs import (
 from repro.core.base_coverage import execute_base_coverage
 from repro.core.classifier_coverage import execute_classifier_coverage
 from repro.core.group_coverage import GroupCoverageStepper, execute_group_coverage
-from repro.core.intersectional_coverage import execute_intersectional_coverage
-from repro.core.multiple_coverage import execute_multiple_coverage
+from repro.core.intersectional_coverage import (
+    LeafRuns,
+    execute_intersectional_coverage,
+    start_intersectional_coverage,
+)
+from repro.core.multiple_coverage import (
+    SupergroupRuns,
+    execute_multiple_coverage,
+    start_multiple_coverage,
+)
 from repro.core.views import resolve_view
 from repro.errors import InvalidParameterError
 
@@ -35,7 +43,7 @@ if TYPE_CHECKING:
     from repro.crowd.oracle import Oracle
     from repro.engine.scheduler import QueryEngine
 
-__all__ = ["run_spec", "make_group_stepper"]
+__all__ = ["run_spec", "make_group_stepper", "start_flow_tree"]
 
 
 def _require_rng(spec: AuditSpec, rng: np.random.Generator | None) -> np.random.Generator:
@@ -159,4 +167,44 @@ def make_group_stepper(
         n=spec.n,
         view=resolve_view(spec.view_array(), dataset_size),
         speculation=speculation,
+    )
+
+
+def start_flow_tree(
+    oracle: "Oracle",
+    spec: MultipleAuditSpec | IntersectionalAuditSpec,
+    engine: "QueryEngine",
+    *,
+    rng: np.random.Generator | None,
+    dataset_size: int | None = None,
+) -> SupergroupRuns | LeafRuns:
+    """Validate a multiple or intersectional spec and run its phases 1–2
+    (sampling, super-groups); returns phase 3 as a flow tree for a
+    caller to admit on ``engine`` — what ``AuditService`` interleaves
+    with every other job. ``run_spec`` drives the same object through
+    ``engine.run``."""
+    if isinstance(spec, MultipleAuditSpec):
+        return start_multiple_coverage(
+            oracle,
+            engine,
+            spec.groups,
+            spec.tau,
+            n=spec.n,
+            c=spec.c,
+            rng=_require_rng(spec, rng),
+            view=spec.view_array(),
+            dataset_size=dataset_size,
+            multi=spec.multi,
+            attribute_supergroup_members=spec.attribute_supergroup_members,
+        )
+    return start_intersectional_coverage(
+        oracle,
+        engine,
+        spec.schema,
+        spec.tau,
+        n=spec.n,
+        c=spec.c,
+        rng=_require_rng(spec, rng),
+        view=spec.view_array(),
+        dataset_size=dataset_size,
     )

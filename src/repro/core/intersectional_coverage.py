@@ -22,8 +22,17 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.core.multiple_coverage import execute_multiple_coverage
-from repro.core.results import IntersectionalCoverageReport, LedgerWindow
+from repro.core.multiple_coverage import (
+    SupergroupRuns,
+    execute_multiple_coverage,
+    start_multiple_coverage,
+)
+from repro.core.results import (
+    IntersectionalCoverageReport,
+    LedgerWindow,
+    MultipleCoverageReport,
+    TaskUsage,
+)
 from repro.core.views import resolve_view
 from repro.crowd.oracle import Oracle
 from repro.data.schema import Schema
@@ -33,8 +42,108 @@ from repro.patterns.graph import PatternGraph
 
 if TYPE_CHECKING:
     from repro.engine.scheduler import QueryEngine
+    from repro.engine.stats import EngineStats
 
-__all__ = ["intersectional_coverage", "execute_intersectional_coverage"]
+__all__ = [
+    "intersectional_coverage",
+    "execute_intersectional_coverage",
+    "start_intersectional_coverage",
+    "LeafRuns",
+]
+
+
+def _leaf_problem(
+    schema: Schema, view: np.ndarray | None, dataset_size: int | None
+) -> tuple[PatternGraph, list, list, np.ndarray | None]:
+    """Validate the schema and view; the pattern graph, its leaves and
+    the leaves as target groups."""
+    if schema.n_attributes < 1:
+        raise InvalidParameterError("schema must have at least one attribute")
+    # Validate the search space up front: bad view indices fail here, not
+    # deep inside the leaf solve after the sampling phase spent budget.
+    view = resolve_view(view, dataset_size) if view is not None else None
+    graph = PatternGraph(schema)
+    leaves = graph.leaves()
+    return graph, leaves, [leaf.to_group() for leaf in leaves], view
+
+
+def _roll_up(
+    graph: PatternGraph,
+    leaves: list,
+    leaf_report: MultipleCoverageReport,
+    tau: int,
+    tasks: TaskUsage,
+) -> IntersectionalCoverageReport:
+    """Roll the leaf verdicts up the pattern graph (no crowd tasks)."""
+    leaf_results = {}
+    for leaf, entry in zip(leaves, leaf_report.entries):
+        # Covered leaves carry the tau certificate; uncovered leaves carry
+        # exact counts (guaranteed by attribute_supergroup_members=True).
+        count = max(entry.count, tau) if entry.covered else entry.count
+        leaf_results[leaf] = LeafCoverage(covered=entry.covered, count=count)
+
+    pattern_report = combine_leaf_coverage(graph, leaf_results, tau)
+    return IntersectionalCoverageReport(
+        leaf_report=leaf_report,
+        pattern_report=pattern_report,
+        tasks=tasks,
+        engine_stats=leaf_report.engine_stats,
+    )
+
+
+class LeafRuns:
+    """Algorithm 3 in engine form: the leaf-level
+    :class:`~repro.core.multiple_coverage.SupergroupRuns` (leaf groups,
+    sibling-constrained super-groups, member attribution on), whose
+    :meth:`finish` also rolls the verdicts up the pattern graph.
+
+    Callers use it exactly like a ``SupergroupRuns``: admit
+    :attr:`roots` with :attr:`on_complete`, then call :meth:`finish`.
+    """
+
+    def __init__(
+        self, runs: SupergroupRuns, graph: PatternGraph, leaves: list, tau: int
+    ) -> None:
+        self.runs = runs
+        self.roots = runs.roots
+        self.on_complete = runs.on_complete
+        self._graph = graph
+        self._leaves = leaves
+        self._tau = tau
+
+    @property
+    def point_queries(self) -> int:
+        return self.runs.point_queries
+
+    def finish(
+        self,
+        usage: Callable[[], TaskUsage],
+        engine_stats: "EngineStats | None" = None,
+    ) -> IntersectionalCoverageReport:
+        leaf_report = self.runs.finish(usage, engine_stats)
+        return _roll_up(self._graph, self._leaves, leaf_report, self._tau, usage())
+
+
+def start_intersectional_coverage(
+    oracle: Oracle,
+    engine: "QueryEngine",
+    schema: Schema,
+    tau: int,
+    *,
+    n: int = 50,
+    c: float = 2.0,
+    rng: np.random.Generator,
+    view: np.ndarray | None = None,
+    dataset_size: int | None = None,
+) -> LeafRuns:
+    """Validate, run the leaf solve's phases 1–2 and return its phase 3
+    as a :class:`LeafRuns` for ``engine`` to drive."""
+    graph, leaves, leaf_groups, view = _leaf_problem(schema, view, dataset_size)
+    runs = start_multiple_coverage(
+        oracle, engine, leaf_groups, tau, n=n, c=c, rng=rng, view=view,
+        dataset_size=dataset_size, multi=True, attribute_supergroup_members=True,
+    )
+    return LeafRuns(runs, graph, leaves, tau)
 
 
 def execute_intersectional_coverage(
@@ -56,16 +165,17 @@ def execute_intersectional_coverage(
     :class:`~repro.audit.IntersectionalAuditSpec`; ``on_round`` is
     forwarded to the leaf-level Multiple-Coverage solve.
     """
-    if schema.n_attributes < 1:
-        raise InvalidParameterError("schema must have at least one attribute")
-    # Validate the search space up front: bad view indices fail here, not
-    # deep inside the leaf solve after the sampling phase spent budget.
-    view = resolve_view(view, dataset_size) if view is not None else None
-    graph = PatternGraph(schema)
-    leaves = graph.leaves()
-    leaf_groups = [leaf.to_group() for leaf in leaves]
-
     window = LedgerWindow(oracle.ledger)
+    if engine is not None:
+        snapshot = engine.snapshot()
+        runs = start_intersectional_coverage(
+            oracle, engine, schema, tau, n=n, c=c, rng=rng, view=view,
+            dataset_size=dataset_size,
+        )
+        engine.run(runs.roots, on_complete=runs.on_complete, on_round=on_round)
+        return runs.finish(window.usage, engine.stats_since(snapshot))
+
+    graph, leaves, leaf_groups, view = _leaf_problem(schema, view, dataset_size)
     leaf_report = execute_multiple_coverage(
         oracle,
         leaf_groups,
@@ -77,25 +187,9 @@ def execute_intersectional_coverage(
         dataset_size=dataset_size,
         multi=True,
         attribute_supergroup_members=True,
-        engine=engine,
         on_round=on_round,
     )
-
-    leaf_results = {}
-    for leaf, group in zip(leaves, leaf_groups):
-        entry = leaf_report.entry_for(group)
-        # Covered leaves carry the tau certificate; uncovered leaves carry
-        # exact counts (guaranteed by attribute_supergroup_members=True).
-        count = max(entry.count, tau) if entry.covered else entry.count
-        leaf_results[leaf] = LeafCoverage(covered=entry.covered, count=count)
-
-    pattern_report = combine_leaf_coverage(graph, leaf_results, tau)
-    return IntersectionalCoverageReport(
-        leaf_report=leaf_report,
-        pattern_report=pattern_report,
-        tasks=window.usage(),
-        engine_stats=leaf_report.engine_stats,
-    )
+    return _roll_up(graph, leaves, leaf_report, tau, window.usage())
 
 
 def intersectional_coverage(

@@ -25,6 +25,11 @@ paper's pseudo-code. Passing an ``engine``
   answer cache, so the covered-super-group penalty re-runs get every
   chunk the super-group run pruned answered for free, and
 * batches the member-attribution point queries of uncovered super-groups.
+
+Engine mode is split at phase 3: :func:`start_multiple_coverage` runs
+phases 1–2 and returns a :class:`SupergroupRuns` flow tree, which an
+:class:`~repro.audit.AuditSession` drives with one ``engine.run`` and an
+:class:`~repro.service.AuditService` interleaves with other jobs.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from repro.core.results import (
     GroupEntry,
     LedgerWindow,
     MultipleCoverageReport,
+    TaskUsage,
 )
 from repro.core.sampling import LabeledPool, label_samples
 from repro.core.views import resolve_view
@@ -49,8 +55,14 @@ from repro.errors import InvalidParameterError
 
 if TYPE_CHECKING:
     from repro.engine.scheduler import QueryEngine
+    from repro.engine.stats import EngineStats
 
-__all__ = ["multiple_coverage", "execute_multiple_coverage"]
+__all__ = [
+    "multiple_coverage",
+    "execute_multiple_coverage",
+    "start_multiple_coverage",
+    "SupergroupRuns",
+]
 
 
 def _singleton_entry(
@@ -177,86 +189,187 @@ def _run_supergroups_sequential(
     return entries
 
 
-def _run_supergroups_engine(
-    oracle: Oracle,
-    engine: "QueryEngine",
-    super_groups: Sequence[SuperGroup],
-    pool: LabeledPool,
-    tau: int,
-    n: int,
-    remaining_view: np.ndarray,
-    attribute_supergroup_members: bool,
-    on_round: Callable[[], None] | None = None,
-) -> dict[Group, GroupEntry]:
-    """Phase 3, engine order: all super-group trees advance concurrently;
-    covered super-groups spawn their penalty re-runs mid-flight."""
-    runs: dict[SuperGroup, GroupCoverageResult] = {}
-    member_runs: dict[SuperGroup, dict[Group, GroupCoverageResult]] = {}
-    roles: dict[GroupCoverageStepper, tuple[SuperGroup, Group | None]] = {}
+class SupergroupRuns:
+    """Phase 3 of Algorithm 2 in engine form, for any caller to run.
 
-    def make_stepper(predicate, tau_prime: int) -> GroupCoverageStepper:
+    A caller admits :attr:`roots` (one Group-Coverage stepper per
+    super-group, pre-credited with its sampled members) with
+    :meth:`on_complete` as their completion hook, and calls
+    :meth:`finish` once every flow of the tree has finished.
+    :attr:`point_queries` counts the point tasks this audit paid
+    (sampling plus attribution; replayed answers are free).
+    """
+
+    def __init__(
+        self,
+        oracle: Oracle,
+        engine: "QueryEngine",
+        groups: Sequence[Group],
+        super_groups: Sequence[SuperGroup],
+        pool: LabeledPool,
+        tau: int,
+        n: int,
+        remaining_view: np.ndarray,
+        attribute_supergroup_members: bool,
+        point_queries: int,
+    ) -> None:
+        self.oracle = oracle
+        self.groups = tuple(groups)
+        self.super_groups = super_groups
+        self.pool = pool
+        self.tau = tau
+        self.point_queries = point_queries
+        self._n = n
+        self._view = remaining_view
+        self._speculation = engine.speculation
+        self._attribute = attribute_supergroup_members
+        self._runs: dict[SuperGroup, GroupCoverageResult] = {}
+        self._member_runs: dict[SuperGroup, dict[Group, GroupCoverageResult]] = {}
+        self._roles: dict[GroupCoverageStepper, tuple[SuperGroup, Group | None]] = {}
+        self.roots: list[GroupCoverageStepper] = []
+        for super_group in super_groups:
+            if len(super_group) > 1:
+                # A "no" for the super-group over a range rules out every
+                # member on that range — the penalty re-runs cash this in.
+                engine.cache.register_implication(super_group, super_group.members)
+            labeled_credit = sum(pool.count(member) for member in super_group)
+            stepper = self._stepper(
+                super_group if len(super_group) > 1 else super_group.members[0],
+                tau - labeled_credit,
+            )
+            self._roles[stepper] = (super_group, None)
+            self.roots.append(stepper)
+
+    def _stepper(self, predicate, tau_prime: int) -> GroupCoverageStepper:
         return GroupCoverageStepper(
             predicate,
             max(tau_prime, 0),
-            n=n,
-            view=remaining_view,
-            speculation=engine.speculation,
+            n=self._n,
+            view=self._view,
+            speculation=self._speculation,
         )
 
-    roots: list[GroupCoverageStepper] = []
-    for super_group in super_groups:
-        if len(super_group) > 1:
-            # A "no" for the super-group over a range rules out every
-            # member on that range — the penalty re-runs cash this in.
-            engine.cache.register_implication(super_group, super_group.members)
-        labeled_credit = sum(pool.count(member) for member in super_group)
-        stepper = make_stepper(
-            super_group if len(super_group) > 1 else super_group.members[0],
-            tau - labeled_credit,
-        )
-        roles[stepper] = (super_group, None)
-        roots.append(stepper)
-
-    def on_complete(stepper):
-        super_group, member = roles[stepper]
+    def on_complete(
+        self, stepper: GroupCoverageStepper
+    ) -> list[GroupCoverageStepper] | None:
+        """The engine completion hook: record the run; a covered genuine
+        super-group returns its members' penalty re-runs."""
+        super_group, member = self._roles[stepper]
         run = stepper.result()
-        if member is None:
-            runs[super_group] = run
-            if len(super_group) > 1 and run.covered:
-                spawned = []
-                for sibling in super_group:
-                    sibling_stepper = make_stepper(
-                        sibling, tau - pool.count(sibling)
-                    )
-                    roles[sibling_stepper] = (super_group, sibling)
-                    spawned.append(sibling_stepper)
-                return spawned
-        else:
-            member_runs.setdefault(super_group, {})[member] = run
-        return None
+        if member is not None:
+            self._member_runs.setdefault(super_group, {})[member] = run
+            return None
+        self._runs[super_group] = run
+        if len(super_group) == 1 or not run.covered:
+            return None
+        spawned = []
+        for sibling in super_group:
+            sibling_stepper = self._stepper(sibling, self.tau - self.pool.count(sibling))
+            self._roles[sibling_stepper] = (super_group, sibling)
+            spawned.append(sibling_stepper)
+        return spawned
 
-    engine.run(roots, on_complete=on_complete, on_round=on_round)
+    def finish(
+        self,
+        usage: Callable[[], TaskUsage],
+        engine_stats: "EngineStats | None" = None,
+    ) -> MultipleCoverageReport:
+        """Attribute the members of uncovered super-groups (one point
+        batch each) and build the report; ``usage`` is read after the
+        attribution, so its count includes it."""
+        entries: dict[Group, GroupEntry] = {}
+        points_before = self.oracle.ledger.n_point_queries
+        for super_group in self.super_groups:
+            run = self._runs[super_group]
+            if len(super_group) == 1:
+                _singleton_entry(entries, super_group, run, self.pool)
+            elif run.covered:
+                _covered_supergroup_entries(
+                    entries, super_group, self._member_runs[super_group], self.pool
+                )
+            else:
+                _uncovered_supergroup_entries(
+                    entries,
+                    self.oracle,
+                    super_group,
+                    run,
+                    self.pool,
+                    attribute_members=self._attribute,
+                    batched=True,
+                )
+        self.point_queries += self.oracle.ledger.n_point_queries - points_before
+        return MultipleCoverageReport(
+            entries=tuple(entries[g] for g in self.groups),
+            super_groups=self.super_groups,
+            sampled_counts={g: self.pool.count(g) for g in self.groups},
+            tasks=usage(),
+            engine_stats=engine_stats,
+        )
 
-    entries: dict[Group, GroupEntry] = {}
-    for super_group in super_groups:
-        run = runs[super_group]
-        if len(super_group) == 1:
-            _singleton_entry(entries, super_group, run, pool)
-        elif run.covered:
-            _covered_supergroup_entries(
-                entries, super_group, member_runs[super_group], pool
-            )
-        else:
-            _uncovered_supergroup_entries(
-                entries,
-                oracle,
-                super_group,
-                run,
-                pool,
-                attribute_members=attribute_supergroup_members,
-                batched=True,
-            )
-    return entries
+
+def _sample_and_aggregate(
+    oracle: Oracle,
+    groups: Sequence[Group],
+    tau: int,
+    *,
+    c: float,
+    rng: np.random.Generator,
+    view: np.ndarray | None,
+    dataset_size: int | None,
+    multi: bool,
+    engine: "QueryEngine | None",
+) -> tuple[np.ndarray, LabeledPool, list[SuperGroup]]:
+    """Validation plus phases 1–2: returns the unlabeled remainder of the
+    view, the labeled pool and the super-groups."""
+    if tau <= 0:
+        raise InvalidParameterError(f"tau must be positive, got {tau}")
+    if not groups:
+        raise InvalidParameterError("multiple_coverage needs at least one group")
+    view = resolve_view(view, dataset_size)
+    if engine is not None:
+        engine.ensure_executes_for(oracle)
+
+    # Phase 1: sampling. Labeled objects leave the unlabeled pool for good.
+    remaining_view, pool = label_samples(
+        oracle, view, tau, c=c, rng=rng, batched=engine is not None
+    )
+
+    # Phase 2: super-group formation from the sampled estimates. N in the
+    # expectation formula is the full (pre-sampling) search-space size, as
+    # in the pseudo-code.
+    super_groups = aggregate_groups(
+        pool, len(view), tau, list(groups), multi=multi
+    )
+    return remaining_view, pool, super_groups
+
+
+def start_multiple_coverage(
+    oracle: Oracle,
+    engine: "QueryEngine",
+    groups: Sequence[Group],
+    tau: int,
+    *,
+    n: int = 50,
+    c: float = 2.0,
+    rng: np.random.Generator,
+    view: np.ndarray | None = None,
+    dataset_size: int | None = None,
+    multi: bool = False,
+    attribute_supergroup_members: bool = False,
+) -> SupergroupRuns:
+    """Validate, run phases 1–2 (one batched point sample, then the
+    super-groups) and return phase 3 as a :class:`SupergroupRuns` for
+    ``engine`` to drive."""
+    points_before = oracle.ledger.n_point_queries
+    remaining_view, pool, super_groups = _sample_and_aggregate(
+        oracle, groups, tau, c=c, rng=rng, view=view,
+        dataset_size=dataset_size, multi=multi, engine=engine,
+    )
+    return SupergroupRuns(
+        oracle, engine, groups, super_groups, pool, tau, n, remaining_view,
+        attribute_supergroup_members,
+        point_queries=oracle.ledger.n_point_queries - points_before,
+    )
 
 
 def execute_multiple_coverage(
@@ -280,49 +393,32 @@ def execute_multiple_coverage(
     :class:`~repro.audit.MultipleAuditSpec`; ``on_round`` fires after
     each Group-Coverage answer/engine batch in phase 3.
     """
-    if tau <= 0:
-        raise InvalidParameterError(f"tau must be positive, got {tau}")
-    if not groups:
-        raise InvalidParameterError("multiple_coverage needs at least one group")
-    view = resolve_view(view, dataset_size)
-    if engine is not None:
-        engine.ensure_executes_for(oracle)
-
     window = LedgerWindow(oracle.ledger)
-    engine_snapshot = engine.snapshot() if engine is not None else None
+    if engine is not None:
+        snapshot = engine.snapshot()
+        runs = start_multiple_coverage(
+            oracle, engine, groups, tau, n=n, c=c, rng=rng, view=view,
+            dataset_size=dataset_size, multi=multi,
+            attribute_supergroup_members=attribute_supergroup_members,
+        )
+        engine.run(runs.roots, on_complete=runs.on_complete, on_round=on_round)
+        return runs.finish(window.usage, engine.stats_since(snapshot))
 
-    # Phase 1: sampling. Labeled objects leave the unlabeled pool for good.
-    remaining_view, pool = label_samples(
-        oracle, view, tau, c=c, rng=rng, batched=engine is not None
+    remaining_view, pool, super_groups = _sample_and_aggregate(
+        oracle, groups, tau, c=c, rng=rng, view=view,
+        dataset_size=dataset_size, multi=multi, engine=None,
     )
-
-    # Phase 2: super-group formation from the sampled estimates. N in the
-    # expectation formula is the full (pre-sampling) search-space size, as
-    # in the pseudo-code.
-    super_groups = aggregate_groups(
-        pool, len(view), tau, list(groups), multi=multi
-    )
-
     # Phase 3: the Group-Coverage runs.
-    if engine is None:
-        entries = _run_supergroups_sequential(
-            oracle, super_groups, pool, tau, n,
-            remaining_view, attribute_supergroup_members, on_round,
-        )
-    else:
-        entries = _run_supergroups_engine(
-            oracle, engine, super_groups, pool, tau, n,
-            remaining_view, attribute_supergroup_members, on_round,
-        )
-
+    entries = _run_supergroups_sequential(
+        oracle, super_groups, pool, tau, n,
+        remaining_view, attribute_supergroup_members, on_round,
+    )
     return MultipleCoverageReport(
         entries=tuple(entries[g] for g in groups),
         super_groups=super_groups,
         sampled_counts={g: pool.count(g) for g in groups},
         tasks=window.usage(),
-        engine_stats=(
-            engine.stats_since(engine_snapshot) if engine is not None else None
-        ),
+        engine_stats=None,
     )
 
 

@@ -77,20 +77,34 @@ class _AttributeModel:
             self.class_obs = grown_class
         return code
 
-    def state_dict(self) -> dict[str, Any]:
+    def state_dict(self, n_rows: int) -> dict[str, Any]:
+        """The first ``n_rows`` rows (the registered workers); the rest
+        of the grown capacity is zeros."""
         return {
             "values": list(self.values),
-            "obs": self.obs.tolist(),
+            "obs": self.obs[:n_rows].tolist(),
             "class_obs": self.class_obs.tolist(),
         }
 
     @classmethod
-    def from_state(cls, state: Mapping[str, Any], n_rows: int) -> "_AttributeModel":
-        model = cls(n_rows)
+    def from_state(
+        cls, state: Mapping[str, Any], n_rows: int, capacity: int
+    ) -> "_AttributeModel":
+        """Rebuild at ``capacity`` rows. ``obs`` holds ``n_rows`` rows,
+        or more in checkpoints that saved the whole grown capacity (the
+        rows past ``n_rows`` are zeros there)."""
+        model = cls(capacity)
         model.values = [str(value) for value in state["values"]]
         model.codes = {value: code for code, value in enumerate(model.values)}
         k = len(model.values)
-        model.obs = np.asarray(state["obs"], dtype=np.float64).reshape(n_rows, k, k)
+        obs = np.asarray(state["obs"], dtype=np.float64)
+        if obs.shape[0] < n_rows:
+            raise ValueError(
+                f"point model holds {obs.shape[0]} worker rows, expected "
+                f"at least {n_rows}"
+            )
+        model.obs = np.zeros((capacity, k, k), dtype=np.float64)
+        model.obs[:n_rows] = obs[:n_rows].reshape(n_rows, k, k)
         model.class_obs = np.asarray(state["class_obs"], dtype=np.float64).reshape(k)
         return model
 
@@ -407,7 +421,7 @@ class OnlineDawidSkene:
             "set_votes": self._set_votes[:n_rows].tolist(),
             "set_class_obs": self._set_class_obs.tolist(),
             "point": {
-                attribute: model.state_dict()
+                attribute: model.state_dict(n_rows)
                 for attribute, model in sorted(self._point_models.items())
             },
             "n_set_batches": self.n_set_batches,
@@ -432,7 +446,7 @@ class OnlineDawidSkene:
             state["set_class_obs"], dtype=np.float64
         ).reshape(2)
         self._point_models = {
-            str(attribute): _AttributeModel.from_state(model_state, capacity)
+            str(attribute): _AttributeModel.from_state(model_state, n_rows, capacity)
             for attribute, model_state in state["point"].items()
         }
         self.n_set_batches = int(state["n_set_batches"])

@@ -32,11 +32,16 @@ with the fewest running jobs (ties broken by priority, then submission
 order), so one tenant's bulk submission cannot starve another's single
 urgent audit.
 
-Group-coverage jobs interleave fully (they are steppers on the shared
-engine). Other spec kinds execute when activated, blocking the service
-loop for their duration — but still on the shared engine, so concurrent
-group jobs keep advancing underneath them and every answer lands in the
-shared cache.
+Group, multiple and intersectional jobs interleave fully: each is a
+tree of steppers on the shared engine. A multiple or intersectional
+job runs its sampling phase (one point batch) when it is activated,
+admits one Group-Coverage flow per super-group, and runs its member
+attribution and report once the last flow of its tree has finished —
+so its crowd batches overlap with every other job's. Per-job ``tasks``
+are exact: set queries are what the engine dispatched for the job's
+flows, point queries what its own point batches were charged. Base and
+classifier jobs have no engine form; they run to completion when
+activated, blocking the service loop for their duration.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ import numpy as np
 
 from repro.audit.proxy import RecordingOracleProxy
 from repro.audit.report import AuditEntry, AuditReport
-from repro.audit.runners import make_group_stepper, run_spec
+from repro.audit.runners import make_group_stepper, run_spec, start_flow_tree
 from repro.audit.serialization import (
     point_answers_from_list,
     point_answers_to_list,
@@ -56,7 +61,15 @@ from repro.audit.serialization import (
     set_answers_from_list,
 )
 from repro.audit.session import _infer_dataset_size, _reliability_platform
-from repro.audit.specs import AuditSpec, GroupAuditSpec, spec_from_dict
+from repro.audit.specs import (
+    AuditSpec,
+    GroupAuditSpec,
+    IntersectionalAuditSpec,
+    MultipleAuditSpec,
+    spec_from_dict,
+)
+from repro.core.intersectional_coverage import LeafRuns
+from repro.core.multiple_coverage import SupergroupRuns
 from repro.core.results import LedgerWindow, TaskUsage
 from repro.crowd.backends.base import CrowdBackend
 from repro.crowd.oracle import Oracle
@@ -86,7 +99,8 @@ class _Job:
 
     __slots__ = (
         "job_id", "spec", "tenant", "priority", "seed", "seq",
-        "status", "events", "result", "error", "flow", "started_at",
+        "status", "events", "result", "error", "flows", "tree",
+        "open_flows", "started_at",
     )
 
     def __init__(
@@ -109,8 +123,21 @@ class _Job:
         self.events: list[JobEvent] = []
         self.result: AuditReport | None = None
         self.error: str | None = None
-        self.flow: Flow | None = None
+        #: root flows on the shared engine (a group job has one)
+        self.flows: list[Flow] = []
+        #: a multiple/intersectional job's phase 3, awaiting its finish
+        self.tree: SupergroupRuns | LeafRuns | None = None
+        #: flows of the job's tree admitted and not yet finished
+        self.open_flows = 0
         self.started_at: float | None = None
+
+    def tree_flows(self) -> Iterable[Flow]:
+        """Every flow of the job: its roots and all they spawned."""
+        stack = list(self.flows)
+        while stack:
+            flow = stack.pop()
+            yield flow
+            stack.extend(flow.spawned)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -280,6 +307,8 @@ class AuditService:
 
         self._jobs: dict[str, _Job] = {}
         self._queue: list[_Job] = []
+        #: jobs whose whole flow tree finished, awaiting their finish step
+        self._finishing: list[_Job] = []
         self._seq = 0
         self._rounds = 0
         self._closed = False
@@ -420,7 +449,7 @@ class AuditService:
     @property
     def has_work(self) -> bool:
         """True while anything is queued, in flight, or unabsorbed."""
-        return bool(self._queue) or self.engine.has_work
+        return bool(self._queue or self._finishing) or self.engine.has_work
 
     def describe(self) -> str:
         """One-line service summary: job tally, bill, engine counters,
@@ -455,14 +484,16 @@ class AuditService:
           that already finished is a race every distributed caller hits,
           so it must be safe to lose;
         * queued, suspended, and running jobs move to ``CANCELLED`` and
-          return ``True``. Running group audits are retired from the
-          engine (answers already paid for stay cached); a blocking
-          audit mid-execution cannot be interrupted (``False``)."""
+          return ``True``. A running group, multiple or intersectional
+          audit has every unfinished flow of its tree retired from the
+          engine (answers already paid for stay cached); a base or
+          classifier audit mid-execution cannot be interrupted
+          (``False``)."""
         job = self._job(job_id)
         if job.status == JobStatus.QUEUED:
             self._queue.remove(job)
-        elif job.status == JobStatus.RUNNING and job.flow is not None:
-            self.engine.retire(job.flow)
+        elif job.status == JobStatus.RUNNING and job.flows:
+            self._retire_tree(job)
         elif job.status != JobStatus.SUSPENDED:
             return False
         self._set_status(job, JobStatus.CANCELLED)
@@ -494,6 +525,7 @@ class AuditService:
                         raise
                     self.engine.absorb(ticket, answers)
             self.engine.settle()
+            self._finish_trees()
         except BudgetExceededError:
             self._suspend_all("task budget exhausted")
             raise
@@ -539,70 +571,134 @@ class AuditService:
                 self._finish_group_job(job)
                 return None
 
-            job.flow = self.engine.admit(stepper, on_complete=finish)
+            job.flows = [self.engine.admit(stepper, on_complete=finish)]
+        elif isinstance(job.spec, (MultipleAuditSpec, IntersectionalAuditSpec)):
+            self._start_tree(job)
         else:
             self._run_blocking(job)
 
     def _finish_group_job(self, job: _Job) -> None:
-        assert job.flow is not None and job.started_at is not None
-        tasks = TaskUsage(n_set_queries=job.flow.dispatched)
-        result = job.flow.stepper.result(tasks=tasks)
+        (flow,) = job.flows
+        tasks = TaskUsage(n_set_queries=flow.dispatched)
+        self._succeed(job, flow.stepper.result(tasks=tasks), tasks)
+
+    def _start_tree(self, job: _Job) -> None:
+        """Run a multiple/intersectional job's phases 1–2 and admit its
+        phase-3 roots; the finish step runs from :meth:`_finish_trees`
+        once the last flow of the tree has finished."""
+        try:
+            tree = start_flow_tree(
+                self._proxy,
+                job.spec,
+                self.engine,
+                rng=self._job_rng(job),
+                dataset_size=self.dataset_size,
+            )
+        except BudgetExceededError:
+            raise  # handled service-wide in step()
+        except Exception as error:  # noqa: BLE001 - job isolation boundary
+            self._fail(job, error)
+            return
+        job.tree = tree
+        hook = tree.on_complete
+
+        def on_complete(stepper, job=job):
+            # Runs inside the engine's settle: only bookkeeping here.
+            spawned = list(hook(stepper) or ())
+            job.open_flows += len(spawned) - 1
+            if job.open_flows == 0:
+                self._finishing.append(job)
+            return spawned
+
+        job.open_flows = len(tree.roots)
+        job.flows = [
+            self.engine.admit(stepper, on_complete=on_complete)
+            for stepper in tree.roots
+        ]
+
+    def _finish_trees(self) -> None:
+        """Run the finish step of every job whose flow tree completed:
+        member attribution (point queries, outside ``pump``/``absorb``)
+        and the report."""
+        while self._finishing:
+            job = self._finishing.pop(0)
+            if job.status != JobStatus.RUNNING:
+                continue  # cancelled after its last flow finished
+            set_queries = sum(flow.dispatched for flow in job.tree_flows())
+
+            def usage(job=job, set_queries=set_queries) -> TaskUsage:
+                return TaskUsage(
+                    n_set_queries=set_queries,
+                    n_point_queries=job.tree.point_queries,
+                )
+
+            try:
+                result = job.tree.finish(usage)
+            except BudgetExceededError:
+                raise  # handled service-wide in step()
+            except Exception as error:  # noqa: BLE001 - job isolation boundary
+                self._fail(job, error)
+                continue
+            self._succeed(job, result, usage())
+
+    def _succeed(self, job: _Job, result: Any, tasks: TaskUsage) -> None:
+        assert job.started_at is not None
         job.result = AuditReport(
             entries=(AuditEntry(spec=job.spec, result=result),),
             tasks=tasks,
             engine_stats=None,
             wall_clock_seconds=time.perf_counter() - job.started_at,
         )
+        job.tree = None
         self._set_status(job, JobStatus.SUCCEEDED)
-        self._event(job, "succeeded", f"dispatched={job.flow.dispatched}")
+        self._event(job, "succeeded", f"tasks={tasks.total}")
         self._persist(job)
 
-    def _run_blocking(self, job: _Job) -> None:
-        """Execute a non-group spec to completion on the shared engine.
+    def _fail(self, job: _Job, error: Exception) -> None:
+        job.tree = None
+        self._set_status(job, JobStatus.FAILED)
+        job.error = f"{type(error).__name__}: {error}"
+        self._event(job, "failed", job.error)
+        self._persist(job)
 
-        Concurrent group flows keep advancing underneath (the engine's
-        drain loop pumps every admitted flow), and every answer lands in
-        the shared cache — but this job occupies the service loop until
-        it finishes. The report's ``tasks`` window therefore includes
-        whatever concurrent flows spent during the overlap; exact
-        per-job attribution is a group-audit feature.
+    def _job_rng(self, job: _Job) -> np.random.Generator | None:
+        return np.random.default_rng(job.seed) if job.seed is not None else None
+
+    def _retire_tree(self, job: _Job) -> None:
+        for flow in job.tree_flows():
+            if not flow.finished:
+                self.engine.retire(flow)
+        job.tree = None
+
+    def _run_blocking(self, job: _Job) -> None:
+        """Execute a base or classifier spec to completion.
+
+        These kinds have no engine form: they ask the oracle directly,
+        holding the service loop until they finish. Nothing is pumped
+        meanwhile, so the ledger window is this job's spend (on a
+        threaded backend, batches submitted earlier may still charge
+        into it).
         """
-        started = time.perf_counter()
         window = LedgerWindow(self.oracle.ledger)
-        rng = (
-            np.random.default_rng(job.seed) if job.seed is not None else None
-        )
         try:
             result = run_spec(
                 self._proxy,
                 job.spec,
-                engine=self.engine,
-                rng=rng,
+                rng=self._job_rng(job),
                 dataset_size=self.dataset_size,
             )
         except BudgetExceededError:
             raise  # handled service-wide in step()
         except Exception as error:  # noqa: BLE001 - job isolation boundary
-            self._set_status(job, JobStatus.FAILED)
-            job.error = f"{type(error).__name__}: {error}"
-            self._event(job, "failed", job.error)
-            self._persist(job)
+            self._fail(job, error)
             return
-        job.result = AuditReport(
-            entries=(AuditEntry(spec=job.spec, result=result),),
-            tasks=window.usage(),
-            engine_stats=None,
-            wall_clock_seconds=time.perf_counter() - started,
-        )
-        self._set_status(job, JobStatus.SUCCEEDED)
-        self._event(job, "succeeded")
-        self._persist(job)
+        self._succeed(job, result, window.usage())
 
     def _suspend_all(self, reason: str) -> None:
+        self._finishing.clear()
         for job in self._jobs.values():
             if job.status in (JobStatus.QUEUED, JobStatus.RUNNING):
-                if job.flow is not None and not job.flow.finished:
-                    self.engine.retire(job.flow)
+                self._retire_tree(job)
                 if job in self._queue:
                     self._queue.remove(job)
                 self._set_status(job, JobStatus.SUSPENDED)

@@ -18,10 +18,11 @@ Three invariants carry the whole serving design:
   the job; everyone else observes it already exists and gets the same
   job id back. A partially written submission is never visible.
 * **Atomic claims.** A lease is claimed the same way (exclusive link).
-  Stale leases (heartbeat older than the TTL) are taken over by first
-  renaming the stale file aside — ``os.rename`` of one source path
-  succeeds for exactly one racer — so two workers can never both win a
-  takeover.
+  A stale lease (heartbeat older than the TTL) is taken over only by
+  the racer that first creates ``lease.takeover-<stale token>``, again
+  by exclusive link. The marker stays behind, so a racer that read the
+  stale lease before someone else's takeover completed cannot move the
+  fresh lease aside later: two workers never both win a takeover.
 * **Torn-read-free state.** Every ``state.json`` write is temp file +
   ``os.replace``, the same contract :class:`~repro.service.DirectoryJobStore`
   pins for checkpoints: readers see the old record or the new one,
@@ -255,9 +256,10 @@ class JobBoard:
         """Attempt to claim the job for ``worker``; ``None`` when someone
         else holds a live lease (or wins the race).
 
-        A stale lease (heartbeat older than ``ttl``) is taken over: the
-        stale file is renamed aside — an atomic step exactly one racer
-        can perform — and a fresh lease is created exclusively.
+        A stale lease (heartbeat older than ``ttl``) is taken over by the
+        one racer that creates the takeover marker of its token: it
+        renames the stale file aside and creates a fresh lease
+        exclusively.
         """
         token = secrets.token_hex(8)
         path = self._lease_path(job_id)
@@ -265,11 +267,25 @@ class JobBoard:
         if info is not None:
             if not self.lease_is_stale(info, ttl):
                 return None
+            stale_token = str(info.get("token"))
+            marker = path.with_name(f"lease.takeover-{stale_token}")
+            if not _link_exclusive(marker, {"worker": worker, "token": token}):
+                return None  # another racer owns this takeover
             aside = path.with_name(f"lease.stale-{token}")
             try:
                 os.rename(path, aside)
             except FileNotFoundError:
-                return None  # another claimer already took it aside
+                return None  # the stale owner released it meanwhile
+            moved = _read_json(aside)
+            if moved is None or moved.get("token") != stale_token:
+                # The stale owner released and someone claimed afresh
+                # between our read and the rename: put their lease back.
+                try:
+                    os.link(aside, path)
+                except FileExistsError:
+                    pass
+                os.unlink(aside)
+                return None
             os.unlink(aside)
         now = time.time()
         lease = Lease(job_id=job_id, worker=worker, token=token)

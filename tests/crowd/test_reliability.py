@@ -129,6 +129,37 @@ class TestOnlineDawidSkene:
         )
         assert clone.state_dict() == est.state_dict()
 
+    @pytest.mark.parametrize("n_workers", [17, 33])
+    def test_point_state_round_trips_past_the_first_row_block(self, rng, n_workers):
+        # Point matrices grow in 16-row blocks; more than 16 workers used
+        # to save them at the grown capacity and fail to load.
+        est = OnlineDawidSkene()
+        _feed(est, rng, 10, {worker: good() for worker in range(n_workers)})
+        est.observe_point_batch(
+            [[(worker, {"gender": "f" if worker % 3 else "m"}) for worker in range(n_workers)]]
+        )
+        state = json.loads(json.dumps(est.state_dict()))
+        assert len(state["point"]["gender"]["obs"]) == n_workers
+        clone = OnlineDawidSkene()
+        clone.load_state_dict(state)
+        assert clone.state_dict() == est.state_dict()
+        votes = [[(worker, {"gender": "f"}) for worker in range(n_workers)]]
+        assert clone.observe_point_batch(votes) == est.observe_point_batch(votes)
+        assert clone.state_dict() == est.state_dict()
+
+        # A checkpoint that saved the whole grown capacity still loads.
+        legacy = json.loads(json.dumps(state))
+        capacity = est._point_models["gender"].obs.shape[0]
+        k = len(legacy["point"]["gender"]["values"])
+        legacy["point"]["gender"]["obs"] = (
+            np.asarray(state["point"]["gender"]["obs"]).tolist()
+            + [[[0.0] * k] * k] * (capacity - n_workers)
+        )
+        assert capacity > n_workers
+        old = OnlineDawidSkene()
+        old.load_state_dict(legacy)
+        assert old.state_dict() == state
+
     def test_invalid_parameters_rejected(self):
         for kwargs in (
             {"damping": 0.0},

@@ -158,3 +158,62 @@ def test_v1_answer_log_without_reliability_still_resumes(tmp_path, dataset):
     with revived:
         revived.drain()
     assert revived.reliability_report() is None
+
+
+@pytest.mark.parametrize("n_workers", [17, 33])
+def test_kill_resume_with_point_answers_past_sixteen_workers(
+    tmp_path, dataset, n_workers
+):
+    # A multiple audit's sampling phase records point answers; with
+    # more than 16 workers the estimator's point matrices outgrow their
+    # first row block, and the checkpoint must still load.
+    from repro.audit import MultipleAuditSpec
+
+    spec = MultipleAuditSpec(
+        groups=(group(gender="female"), group(gender="male")), tau=30
+    )
+
+    def oracle():
+        pool = make_worker_pool(
+            n_workers,
+            np.random.default_rng(3),
+            error_rate=0.03,
+            spammer_fraction=0.2,
+            spammer_error_rate=0.45,
+        )
+        platform = CrowdPlatform(
+            dataset,
+            pool,
+            np.random.default_rng(11),
+            reliability=AdaptiveAssignmentPolicy(log_odds_threshold=3.5),
+        )
+        return CrowdOracle(platform)
+
+    reference_oracle = oracle()
+    with AuditService(reference_oracle, seed=9) as service:
+        reference = service.submit(spec).result()
+    estimator = reference_oracle.platform.reliability.estimator
+    assert len(estimator.worker_ids) == n_workers
+    assert estimator.n_point_batches > 0
+
+    store = DirectoryJobStore(tmp_path / "state")
+    first_oracle = oracle()
+    budget = reference.tasks.total // 2
+    service = AuditService(first_oracle, job_store=store, task_budget=budget, seed=9)
+    with service:
+        service.submit(spec)
+        with pytest.raises(BudgetExceededError):
+            service.drain()
+    paid_before_kill = first_oracle.ledger.total
+    assert first_oracle.ledger.n_point_queries > 0
+
+    fresh_oracle = oracle()
+    revived = AuditService.resume(store, fresh_oracle, task_budget=100_000)
+    with revived:
+        revived.drain()
+        (resumed,) = [handle.result() for handle in revived.jobs()]
+
+    for ours, theirs in zip(resumed.result.entries, reference.result.entries):
+        assert (ours.covered, ours.count) == (theirs.covered, theirs.count)
+    # Zero re-asks: the two phases together paid the uninterrupted bill.
+    assert paid_before_kill + fresh_oracle.ledger.total == reference_oracle.ledger.total

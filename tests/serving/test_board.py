@@ -12,6 +12,7 @@ from repro.audit import GroupAuditSpec
 from repro.data.groups import group
 from repro.errors import InvalidParameterError
 from repro.serving import LeaseLostError, Submission
+from repro.serving.board import _read_json
 
 
 def submitted_job(board, tau=40, tenant="lease"):
@@ -75,6 +76,31 @@ class TestClaims:
             thread.join(timeout=30)
         assert len(wins) == 1
         assert board.lease_info(job_id)["worker"] == wins[0].worker
+
+    def test_takeover_after_a_completed_takeover_loses(self, board, monkeypatch):
+        # Forced interleaving: racer B reads the stale lease, then racer
+        # A runs a whole takeover before B acts on what it read. B must
+        # not move A's fresh lease aside.
+        job_id = submitted_job(board)
+        assert board.try_claim(job_id, "doomed", ttl=30) is not None
+        time.sleep(0.15)  # let the heartbeat age past the tiny ttl
+        lease_path = board.job_dir(job_id) / "lease.json"
+        first = []
+
+        def read_then_race(path):
+            info = _read_json(path)
+            if path == lease_path and not first:
+                first.append(None)
+                first[0] = board.try_claim(job_id, "a", ttl=0.1)
+            return info
+
+        monkeypatch.setattr("repro.serving.board._read_json", read_then_race)
+        late = board.try_claim(job_id, "b", ttl=0.1)
+        monkeypatch.undo()
+        assert first[0] is not None and first[0].worker == "a"
+        assert late is None
+        assert board.lease_info(job_id)["token"] == first[0].token
+        board.heartbeat(first[0])  # A still owns the lease
 
     def test_release_then_reclaim(self, board):
         job_id = submitted_job(board)

@@ -206,7 +206,7 @@ DEFAULT = Config(
                     # The per-job execution boundary: the stream is
                     # re-minted from the job's durable seed, so a
                     # re-leased or resumed job replays identically.
-                    "AuditService._run_blocking",
+                    "AuditService._job_rng",
                     "_run_leased_job",
                     "synthesize_image",
                     "image_for_row",
